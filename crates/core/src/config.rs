@@ -44,14 +44,6 @@ pub struct MultiClockConfig {
     /// default) migrates page-at-a-time, bit-identical to the unbatched
     /// path; larger values amortize the per-call setup cost.
     pub migrate_batch_size: usize,
-    /// Worker threads for the scan phase. Each tick, the per-shard scan
-    /// jobs (every shard of every tier) are split into `scan_threads`
-    /// contiguous chunks and run on scoped OS threads — the paper's
-    /// concurrent per-node `kpromoted` daemons. Shard results are merged
-    /// in fixed shard order on the coordinating thread, so any value
-    /// produces output bit-identical to `1` (the sequential default); see
-    /// [`crate::executor`].
-    pub scan_threads: usize,
     /// How the promote path reacts to transient migration failures
     /// (destination full, page transiently locked). The default,
     /// [`RetryPolicy::immediate`], allows a single attempt — exactly the
@@ -78,15 +70,15 @@ pub struct MultiClockConfig {
     pub shadow_pages: bool,
     /// Optional host-time profiling hooks ([`mc_obs::perf`]). `None` (the
     /// default) makes every phase boundary a no-op; `Some` opens a
-    /// wall-clock span around each scan/merge/promote-drain/pressure/
+    /// wall-clock span around each scan/promote-drain/pressure/
     /// migrate-batch phase. Hooks only *observe* host time — no clock
     /// value flows back into the engine — so any setting produces results
     /// bit-identical to `None`.
     pub perf: Option<PerfHooks>,
     /// HM-Keeper-style adaptive region profiling ([`crate::region`]).
-    /// Region boundaries only steer where the scanner samples reference
-    /// bits and how often it wakes — any knob values are bit-identical
-    /// to any others; see the module docs for the contract.
+    /// Region boundaries only steer how often the scanner wakes — any
+    /// knob values are bit-identical to any others; see the module docs
+    /// for the contract.
     pub regions: RegionKnobs,
 }
 
@@ -156,7 +148,6 @@ impl Default for MultiClockConfig {
             max_interval: Nanos::from_secs(60),
             scan_shards: 1,
             migrate_batch_size: 1,
-            scan_threads: 1,
             retry: RetryPolicy::immediate(),
             migration_mode: MigrationMode::Sync,
             shadow_pages: true,
@@ -199,7 +190,6 @@ impl MultiClockConfig {
             self.migrate_batch_size > 0,
             "migrate batch size must be positive"
         );
-        assert!(self.scan_threads > 0, "scan threads must be positive");
         assert!(
             self.retry.is_valid(),
             "retry policy must allow at least one attempt with cap >= base"
@@ -244,23 +234,12 @@ mod tests {
         let c = MultiClockConfig::default();
         assert_eq!(c.scan_shards, 1);
         assert_eq!(c.migrate_batch_size, 1);
-        assert_eq!(c.scan_threads, 1, "sequential scan is the baseline");
         assert_eq!(
             c.migration_mode,
             MigrationMode::Sync,
             "synchronous migration is the baseline"
         );
         assert!(c.shadow_pages, "shadows are on once transactions are");
-    }
-
-    #[test]
-    #[should_panic(expected = "scan threads")]
-    fn zero_scan_threads_rejected() {
-        let c = MultiClockConfig {
-            scan_threads: 0,
-            ..Default::default()
-        };
-        c.validate();
     }
 
     #[test]

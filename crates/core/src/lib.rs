@@ -48,7 +48,6 @@
 //! ```
 
 pub mod config;
-pub(crate) mod executor;
 pub mod lists;
 pub mod multi_clock;
 pub mod reclaim;

@@ -60,11 +60,10 @@ pub struct MultiClock {
     /// across quiescent points, so the invariant checker exempts these
     /// frames explicitly instead of being suspended.
     pub(crate) txn_pending: Vec<FrameId>,
-    /// The adaptive region partition over the frame space: which frame
-    /// ranges the scan snapshots ([`RegionMap::scan_ranges`]) and the
-    /// churn signal the churn-interval extension reschedules on. Mirrors
-    /// the tracked set exactly (every `states` Some/None flip updates
-    /// it), which is what keeps the sparse snapshot lossless.
+    /// The adaptive region partition over the frame space: per-region
+    /// heat and the churn signal the churn-interval extension reschedules
+    /// on. Mirrors the tracked set exactly (every `states` Some/None flip
+    /// updates it).
     pub(crate) region_map: RegionMap,
 }
 
@@ -124,25 +123,11 @@ impl MultiClock {
     }
 
     /// Adaptation counters of the region map (region count, splits,
-    /// merges, populated snapshot extent). Deliberately not part of
+    /// merges, populated extent). Deliberately not part of
     /// [`TieringPolicy::counters`]: the per-tick obs CSV layout is
     /// pinned by the scheduler differential tests.
     pub fn region_stats(&self) -> RegionStats {
         self.region_map.stats()
-    }
-
-    /// Carves a frame range in or out of the CLOCK scan: `tracked == true`
-    /// hands the range to an external sampled/sketch tracker (HybridTier
-    /// style) and the scanner skips it; `false` returns it. The caller
-    /// guarantees no CLOCK-tracked page lives in an externally tracked
-    /// range — under that contract the setting changes scan *cost* only,
-    /// never observed reference bits.
-    pub fn set_externally_tracked(&mut self, range: mc_mem::FrameRange, tracked: bool) {
-        if tracked {
-            self.region_map.mark_external(range);
-        } else {
-            self.region_map.clear_external(range);
-        }
     }
 
     /// The configuration in use.
@@ -291,74 +276,59 @@ impl MultiClock {
         }
     }
 
-    /// Applies `steps` observed accesses to a page: the ladder of Fig. 4
-    /// transitions (2), (6), (7)/(8), (10), (12), moving the page between
-    /// lists as its state changes.
+    /// Applies one observed access to a page: one step up the ladder of
+    /// Fig. 4 transitions (2), (6), (7), (10), (12), moving the page
+    /// between lists as its state changes.
     ///
     /// A page that is not on any list (mid-scan, already popped) is simply
     /// pushed into the list its new state demands; callers that pop must
     /// re-insert the page first if they want rotation semantics.
-    pub(crate) fn apply_access(&mut self, mem: &mut MemorySystem, frame: FrameId, steps: u32) {
-        let Some(mut st) = self.states[frame.index()] else {
+    pub(crate) fn apply_access(&mut self, mem: &mut MemorySystem, frame: FrameId) {
+        let Some(st) = self.states[frame.index()] else {
             return;
         };
         if st == PageState::Unevictable {
             return;
         }
-        // Supervised accesses heat the page's region (the harvested-bit
-        // channel heats it from the scan merge).
-        self.region_map.record_heat(frame, u64::from(steps));
+        // Every observed access heats the page's region: supervised ones
+        // here, harvested reference bits via the scan.
+        self.region_map.record_heat(frame, 1);
         let tier = mem.frame(frame).tier();
         let kind = mem.frame(frame).kind();
-        // fig4: 2, 6, 7, 10, 12 — each observed access climbs one edge.
-        for _ in 0..steps {
-            let new = st.on_access();
-            let edge = Self::access_edge(st);
-            if new == st {
-                // The only self-edge of the ladder is (12): an observation
-                // absorbed by the promote list. Record it — it is the
-                // signal that a candidate stayed hot while queued.
-                if st == PageState::Promote {
-                    mem.recorder_mut().emit(|| EventKind::Fig4 {
-                        edge,
-                        frame: frame.index() as u64,
-                        tier: tier.index() as u8,
-                    });
-                }
-                break;
+        // fig4: 2, 6, 7, 10, 12 — an observed access climbs one edge.
+        let new = st.on_access();
+        if new.list() != st.list() {
+            let set = self.shard_lists_mut(tier, frame).set_mut(kind);
+            set.list_mut(st.list()).remove(frame);
+            set.list_mut(new.list()).push_back(frame);
+            match new {
+                PageState::ActiveUnref => saturating_bump(&mut self.stats.activations), // fig4: 6
+                PageState::Promote => saturating_bump(&mut self.stats.promote_enqueues), // fig4: 10
+                // Accesses never move a page into the remaining states
+                // across a list boundary: (2) and (12) stay inside their
+                // list and ActiveRef is reached only by the list-internal
+                // edge (7).
+                PageState::InactiveUnref
+                | PageState::InactiveRef
+                | PageState::ActiveRef
+                | PageState::Unevictable => {}
             }
-            if new.list() != st.list() {
-                let set = self.shard_lists_mut(tier, frame).set_mut(kind);
-                set.list_mut(st.list()).remove(frame);
-                set.list_mut(new.list()).push_back(frame);
-                match new {
-                    PageState::ActiveUnref => saturating_bump(&mut self.stats.activations), // fig4: 6
-                    PageState::Promote => saturating_bump(&mut self.stats.promote_enqueues), // fig4: 10
-                    // Accesses never move a page into the remaining
-                    // states across a list boundary: (2) and (12) stay
-                    // inside their list and ActiveRef is reached only by
-                    // the list-internal edge (7).
-                    PageState::InactiveUnref
-                    | PageState::InactiveRef
-                    | PageState::ActiveRef
-                    | PageState::Unevictable => {}
-                }
-            }
-            mem.recorder_mut().emit(|| EventKind::Fig4 {
-                edge,
-                frame: frame.index() as u64,
-                tier: tier.index() as u8,
-            });
-            st = new;
         }
-        self.states[frame.index()] = Some(st);
-        self.sync_flags(mem, frame, st);
+        // The promote list's self-edge (12) is recorded too: it is the
+        // signal that a queued candidate stayed hot.
+        mem.recorder_mut().emit(|| EventKind::Fig4 {
+            edge: Self::access_edge(st),
+            frame: frame.index() as u64,
+            tier: tier.index() as u8,
+        });
+        self.states[frame.index()] = Some(new);
+        self.sync_flags(mem, frame, new);
     }
 
     /// The Fig. 4 edge an observed access fires from each ladder state
     /// (0 for [`PageState::Unevictable`], which absorbs accesses before
     /// the ladder is consulted).
-    pub(crate) fn access_edge(st: PageState) -> u8 {
+    fn access_edge(st: PageState) -> u8 {
         match st {
             PageState::InactiveUnref => 2,
             PageState::InactiveRef => 6,
@@ -367,14 +337,6 @@ impl MultiClock {
             PageState::Promote => 12,
             PageState::Unevictable => 0,
         }
-    }
-
-    /// How many ladder steps one observed access of this frame is worth.
-    /// Always one: the §VII write-weight extension influences *placement
-    /// priority* (see the promote phase), not the frequency bar — raising
-    /// climb speed for dirty pages would just relax selectivity.
-    pub(crate) fn access_steps(&self, _mem: &MemorySystem, _frame: FrameId) -> u32 {
-        1
     }
 
     /// Moves a tracked page out of its current list and into the list a
@@ -465,7 +427,10 @@ impl TieringPolicy for MultiClock {
     fn on_supervised_access(&mut self, mem: &mut MemorySystem, frame: FrameId, _kind: AccessKind) {
         // mark_page_accessed(): supervised accesses step the ladder
         // immediately, before the data access is even served (§III-A.1).
-        self.apply_access(mem, frame, 1);
+        // One access is one step whatever its kind: the §VII write-weight
+        // extension weighs placement priority (see the promote phase),
+        // not climb speed.
+        self.apply_access(mem, frame);
     }
 
     fn tick(&mut self, mem: &mut MemorySystem, now: Nanos) -> TickOutcome {

@@ -286,8 +286,7 @@ impl MultiClock {
             .active
             .push_back(frame);
         if mem.harvest_referenced(frame) {
-            let steps = self.access_steps(mem, frame);
-            self.apply_access(mem, frame, steps);
+            self.apply_access(mem, frame);
         } else if self.state_of(frame) == Some(PageState::ActiveRef) {
             // The software referenced state (set by a scan that already
             // consumed the PTE bit) protects the page from gentle
@@ -344,8 +343,7 @@ impl MultiClock {
                 .set_mut(kind)
                 .inactive
                 .push_back(frame);
-            let steps = self.access_steps(mem, frame);
-            self.apply_access(mem, frame, steps);
+            self.apply_access(mem, frame);
             return ShrinkResult::Rotated;
         }
         if self.state_of(frame) == Some(PageState::InactiveRef) {

@@ -1,9 +1,9 @@
 //! HM-Keeper-style adaptive regions: the frame space partitioned into
 //! contiguous, variable-size regions whose boundaries adapt to observed
-//! hotness (hot regions split, cold regions merge), so per-tick scan
-//! bookkeeping — most importantly the reference-bit snapshot — scales
-//! with the *working set* rather than the machine size.
-//!
+//! hotness (hot regions split, cold regions merge), so the profile of
+//! where accesses land is kept at the granularity of the *working set*
+//! rather than the machine size.
+
 //! # Model
 //!
 //! The frame space `[0, total_frames)` is divided into fixed **granules**
@@ -27,13 +27,11 @@
 //! 3. the window heat resets (only regions with non-zero heat walk
 //!    their granules), starting the next observation window.
 //!
-//! Region boundaries influence only *where the scanner looks*
-//! ([`RegionMap::scan_ranges`] — the extents of populated regions) and
-//! how often it wakes (`take_churn`, consumed by the churn-interval
-//! extension). They never change which pages the scan observes or what
-//! values it reads: every tracked page lives inside a populated region,
-//! and frames outside are never on a CLOCK list. Any split/merge
-//! threshold therefore produces bit-identical simulation results — the
+//! Region boundaries influence only how often the scanner wakes
+//! (`take_churn`, consumed by the churn-interval extension). They never
+//! change which pages the scan observes or what values it reads — the
+//! scan walks the CLOCK lists themselves. Any split/merge threshold
+//! therefore produces bit-identical simulation results — the
 //! tick-equivalence contract of DESIGN.md §17.
 
 use crate::config::RegionKnobs;
@@ -65,8 +63,8 @@ pub struct RegionStats {
     pub merges: u64,
     /// Tracked pages across all regions.
     pub tracked: u64,
-    /// Frames covered by populated regions — the per-tick reference
-    /// snapshot cost ([`RegionMap::scan_ranges`] extent).
+    /// Frames covered by populated regions ([`RegionMap::scan_ranges`]
+    /// extent): how tightly the partition fits the tracked set.
     pub populated_frames: u64,
     /// Heat accumulated in the current observation window, summed over
     /// all regions (equals the sum of per-page contributions — the
@@ -85,13 +83,6 @@ pub struct RegionMap {
     heat_per_granule: Vec<u64>,
     /// The partition: sorted, disjoint, gap-free over the granule space.
     regions: Vec<Region>,
-    /// Granules whose pages are tracked by an external (sampled/sketch)
-    /// tracker instead of the CLOCK scan — [`Self::scan_ranges`] skips
-    /// them. Empty set → scan behaviour is bit-identical to a map without
-    /// this feature.
-    external_per_granule: Vec<bool>,
-    /// Number of `true` entries in `external_per_granule`.
-    external_granules: u64,
     knobs: RegionKnobs,
     /// Tracked-set mutations since the last [`Self::take_churn`].
     churn: u64,
@@ -125,8 +116,6 @@ impl RegionMap {
             tracked_per_granule: vec![0; granule_count as usize],
             heat_per_granule: vec![0; granule_count as usize],
             regions,
-            external_per_granule: vec![false; granule_count as usize],
-            external_granules: 0,
             knobs,
             churn: 0,
             splits: 0,
@@ -261,89 +250,19 @@ impl RegionMap {
         }
     }
 
-    /// Marks a frame range as externally tracked: a sampled/sketch tracker
-    /// (e.g. HybridTier) owns those pages, so the CLOCK scan skips every
-    /// granule the range touches. Callers must guarantee no CLOCK-tracked
-    /// page lives in the marked granules — then skipping changes only scan
-    /// *cost*, never observed values.
-    pub fn mark_external(&mut self, range: FrameRange) {
-        self.set_external(range, true);
-    }
-
-    /// Returns a previously marked range to CLOCK-scan coverage.
-    pub fn clear_external(&mut self, range: FrameRange) {
-        self.set_external(range, false);
-    }
-
-    fn set_external(&mut self, range: FrameRange, flag: bool) {
-        if range.len == 0 {
-            return;
-        }
-        let first_g = range.start / self.granule;
-        let end = (range.start + range.len).min(self.total_frames.max(1));
-        let last_g = end.saturating_sub(1) / self.granule;
-        for g in first_g..=last_g {
-            if let Some(e) = self.external_per_granule.get_mut(g as usize) {
-                if *e != flag {
-                    *e = flag;
-                    if flag {
-                        self.external_granules += 1;
-                    } else {
-                        self.external_granules -= 1;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Number of granules currently carved out for external trackers.
-    pub fn external_granules(&self) -> u64 {
-        self.external_granules
-    }
-
     /// The frame extents of populated regions (tracked > 0), adjacent
-    /// extents coalesced — exactly what the scan must snapshot. Granules
-    /// marked externally tracked are skipped; with none marked (the
-    /// default) the result is bit-identical to the pre-hook computation.
+    /// extents coalesced. Every tracked page lies inside one.
     pub fn scan_ranges(&self) -> Vec<FrameRange> {
         let mut ranges: Vec<FrameRange> = Vec::new();
-        if self.external_granules == 0 {
-            for r in &self.regions {
-                if r.tracked == 0 {
-                    continue;
-                }
-                let start = r.start_g * self.granule;
-                let len = (r.len_g * self.granule).min(self.total_frames - start);
-                match ranges.last_mut() {
-                    Some(prev) if prev.start + prev.len == start => prev.len += len,
-                    _ => ranges.push(FrameRange::new(start, len)),
-                }
-            }
-            return ranges;
-        }
-        // Externals present: walk populated regions granule-wise so the
-        // skipped granules punch holes in the extents.
         for r in &self.regions {
             if r.tracked == 0 {
                 continue;
             }
-            for g in r.start_g..r.start_g + r.len_g {
-                if self
-                    .external_per_granule
-                    .get(g as usize)
-                    .is_some_and(|&e| e)
-                {
-                    continue;
-                }
-                let start = g * self.granule;
-                if start >= self.total_frames {
-                    break;
-                }
-                let len = self.granule.min(self.total_frames - start);
-                match ranges.last_mut() {
-                    Some(prev) if prev.start + prev.len == start => prev.len += len,
-                    _ => ranges.push(FrameRange::new(start, len)),
-                }
+            let start = r.start_g * self.granule;
+            let len = (r.len_g * self.granule).min(self.total_frames - start);
+            match ranges.last_mut() {
+                Some(prev) if prev.start + prev.len == start => prev.len += len,
+                _ => ranges.push(FrameRange::new(start, len)),
             }
         }
         ranges
@@ -411,18 +330,11 @@ impl RegionMap {
                 "regions cover {next_g} granules but the space has {granule_count}"
             ));
         }
-        let ext = self.external_per_granule.iter().filter(|&&e| e).count() as u64;
-        if ext != self.external_granules {
-            return Err(format!(
-                "external counter says {} but {ext} granules are flagged",
-                self.external_granules
-            ));
-        }
         Ok(())
     }
 
-    /// Whether `frame` lies inside a populated region — i.e. the scan's
-    /// snapshot would sample it. Every tracked frame must satisfy this.
+    /// Whether `frame` lies inside a populated region. Every tracked
+    /// frame must satisfy this.
     pub fn covers_tracked(&self, frame: FrameId) -> bool {
         let g = self.granule_of(frame);
         // lint: allow(indexing) - region_index_of returns an index into the gap-free partition
@@ -556,66 +468,5 @@ mod tests {
         let mut map = RegionMap::new(1024, knobs(4, 8));
         map.track(FrameId::new(100));
         assert_eq!(map.stats().populated_frames, 32);
-    }
-
-    #[test]
-    fn external_ranges_are_skipped_by_the_scan() {
-        let mut map = RegionMap::new(1024, knobs(4, 8));
-        // Populate region 0 (frames 0..32) via a tracked page in its
-        // first granule; the rest of the region holds no tracked pages.
-        map.track(FrameId::new(3));
-        assert_eq!(map.scan_ranges(), vec![FrameRange::new(0, 32)]);
-        // Carve frames 16..32 (granules 4..8) out for an external tracker.
-        map.mark_external(FrameRange::new(16, 16));
-        map.check().unwrap();
-        assert_eq!(map.external_granules(), 4);
-        assert_eq!(map.scan_ranges(), vec![FrameRange::new(0, 16)]);
-        // Clearing restores the exact pre-hook extents.
-        map.clear_external(FrameRange::new(16, 16));
-        map.check().unwrap();
-        assert_eq!(map.external_granules(), 0);
-        assert_eq!(map.scan_ranges(), vec![FrameRange::new(0, 32)]);
-    }
-
-    #[test]
-    fn external_holes_split_coalesced_extents() {
-        let mut map = RegionMap::new(1024, knobs(4, 8));
-        map.track(FrameId::new(3));
-        map.track(FrameId::new(40)); // adjacent regions 0 and 1 coalesce
-        assert_eq!(map.scan_ranges(), vec![FrameRange::new(0, 64)]);
-        map.mark_external(FrameRange::new(32, 4)); // one granule mid-extent
-        assert_eq!(
-            map.scan_ranges(),
-            vec![FrameRange::new(0, 32), FrameRange::new(36, 28)]
-        );
-    }
-
-    #[test]
-    fn external_marking_is_idempotent_and_granule_rounded() {
-        let mut map = RegionMap::new(1024, knobs(4, 8));
-        // A partial-granule range claims every granule it touches.
-        map.mark_external(FrameRange::new(5, 2));
-        assert_eq!(map.external_granules(), 1);
-        map.mark_external(FrameRange::new(4, 4)); // same granule again
-        assert_eq!(map.external_granules(), 1);
-        map.mark_external(FrameRange::new(0, 0)); // empty: no-op
-        assert_eq!(map.external_granules(), 1);
-        map.clear_external(FrameRange::new(4, 4));
-        assert_eq!(map.external_granules(), 0);
-        map.check().unwrap();
-    }
-
-    #[test]
-    fn no_external_marks_means_identical_scan_ranges() {
-        // The fast path must reproduce the legacy coalescing exactly,
-        // including after a mark/clear round trip.
-        let mut map = RegionMap::new(4096, knobs(4, 8));
-        for f in [3u32, 40, 650, 1200, 1204] {
-            map.track(FrameId::new(f));
-        }
-        let before = map.scan_ranges();
-        map.mark_external(FrameRange::new(2048, 64));
-        map.clear_external(FrameRange::new(2048, 64));
-        assert_eq!(map.scan_ranges(), before);
     }
 }

@@ -1,7 +1,7 @@
 //! The `kpromoted` daemon: periodic list scanning, reference-bit
 //! harvesting, and promote-list draining (paper §III-B, §IV).
 
-use crate::executor::{run_scan_jobs, ScanCtx, ScanJob};
+use crate::lists::WhichList;
 use crate::multi_clock::MultiClock;
 use crate::state::PageState;
 use mc_mem::{
@@ -12,14 +12,10 @@ use mc_obs::{saturating_add, saturating_bump, EventKind};
 impl MultiClock {
     /// One `kpromoted` wake-up:
     ///
-    /// 1. scan every list of every shard of every tier (up to
-    ///    `scan_batch` pages per list — each shard models an independent
-    ///    per-node daemon and gets its own full budget), harvesting PTE
-    ///    reference bits and applying the Fig. 4 transitions — this is how
-    ///    *unsupervised* (mmap) accesses are observed. The shard scans run
-    ///    on the [`crate::executor`] (up to `scan_threads` workers, the
-    ///    paper's concurrent per-node daemons) and their results are
-    ///    merged in shard order, bit-identical to a sequential walk;
+    /// 1. scan every list of every shard of every tier in place
+    ///    ([`Self::scan_lists`]), harvesting PTE reference bits and
+    ///    applying the Fig. 4 transitions — this is how *unsupervised*
+    ///    (mmap) accesses are observed;
     /// 2. promote **all** pages on lower tiers' promote lists ("once a
     ///    page is selected for promotion, the page gets promoted to the
     ///    DRAM in the same kpromoted run"), in `migrate_batch_size`
@@ -48,67 +44,13 @@ impl MultiClock {
         // spans only observe the host clock, never engine state.
         let perf = self.cfg.perf.clone();
 
-        // Scan phase: snapshot the reference bits over the region map's
-        // populated extents only (every tracked page lives inside one, so
-        // the sparse snapshot reads exactly what a full walk would — at a
-        // cost proportional to the working set, not the machine), run
-        // every shard's scan as an independent job (workers write nothing
-        // shared), then merge the per-shard outputs in (tier, shard)
-        // order — the exact sequential nested-loop order, so stats,
-        // events and state writes land identically regardless of
-        // `scan_threads`.
-        let referenced = mem.referenced_snapshot_ranges(&self.region_map.scan_ranges());
-        let record = mem.recorder().is_enabled();
-        let shard_outs = {
-            let MultiClock {
-                cfg, tiers, states, ..
-            } = &mut *self;
-            let ctx = ScanCtx {
-                cfg,
-                mem,
-                states,
-                referenced: &referenced,
-                record,
-            };
-            let mut jobs = Vec::new();
-            for (t, shards) in tiers.iter_mut().enumerate() {
-                let tier = TierId::new(t as u8);
-                for lists in shards.shards_mut() {
-                    jobs.push(ScanJob { tier, lists });
-                }
-            }
-            run_scan_jobs(jobs, ctx, cfg.scan_threads)
-        };
-        let merge_span = perf.as_ref().map(|p| p.span(mc_obs::Phase::Merge));
-        for so in shard_outs {
-            out.pages_scanned += so.pages_scanned;
-            saturating_add(&mut self.stats.ladder_decays, so.ladder_decays);
-            saturating_add(&mut self.stats.promote_ages, so.promote_ages);
-            saturating_add(&mut self.stats.activations, so.activations);
-            saturating_add(&mut self.stats.promote_enqueues, so.promote_enqueues);
-            mem.recorder_mut().replay(so.events.into_events());
-            for (frame, st) in so.state_changes {
-                self.states[frame.index()] = Some(st);
-                if st != PageState::Promote {
-                    // Leaving the promote list ends the promotion episode
-                    // (invariant 6: retry state exists only for
-                    // Promote-state pages).
-                    self.retry_state[frame.index()] = None;
-                }
-                self.sync_flags(mem, frame, st);
-            }
-            // Deferred test-and-clear: consume the reference bits the scan
-            // observed, before the promote/pressure phases can look. The
-            // returned bool (was it set?) is deliberately dropped — the scan
-            // already recorded the observation; this call only clears.
-            // Each consumed bit also heats the frame's region: the
-            // unsupervised-access channel of the region profiler.
-            for frame in so.harvested {
-                let _ = mem.harvest_referenced(frame);
-                self.region_map.record_heat(frame, 1);
-            }
+        let mut scan_span = perf.as_ref().map(|p| p.span(mc_obs::Phase::Scan));
+        let scanned = self.scan_lists(mem);
+        out.pages_scanned += scanned;
+        if let Some(s) = scan_span.as_mut() {
+            s.add_items(scanned);
         }
-        drop(merge_span);
+        drop(scan_span);
 
         // Drain promote lists bottom-up relative to their target: tier 1
         // promotes into tier 0 before tier 2 promotes into tier 1.
@@ -168,6 +110,116 @@ impl MultiClock {
             demoted: out.demoted,
         });
         out
+    }
+
+    /// The scan phase: walks every list of every shard of every tier in
+    /// place, in (tier, shard, kind) order — promote (top tier only),
+    /// then inactive, then active — up to `scan_batch` pages per list.
+    /// Each shard models one per-node daemon and gets its own full
+    /// budget. Returns the pages scanned.
+    pub(crate) fn scan_lists(&mut self, mem: &mut MemorySystem) -> u64 {
+        let mut scanned = 0;
+        for t in 0..self.tiers.len() {
+            let tier = TierId::new(t as u8);
+            for shard in 0..self.tiers[tier.index()].shard_count() {
+                for kind in PageKind::ALL {
+                    // Ageing of unreferenced promote pages (transition
+                    // 11) only ever applies to the top tier: a lower
+                    // tier's promote list is drained by the promotion
+                    // phase of the same run that populated it (deferred
+                    // retry candidates may sit across runs, but those are
+                    // waiting out a backoff, not ageing). It runs before
+                    // the other scans so pages entering the promote list
+                    // during this very scan are not aged before the
+                    // promote phase sees them.
+                    if tier.is_top() {
+                        scanned += self.scan_list(mem, tier, shard, kind, WhichList::Promote);
+                    }
+                    scanned += self.scan_list(mem, tier, shard, kind, WhichList::Inactive);
+                    scanned += self.scan_list(mem, tier, shard, kind, WhichList::Active);
+                }
+            }
+        }
+        scanned
+    }
+
+    /// Scans up to `scan_batch` pages from the cold end of one list,
+    /// rotating each to the tail and test-and-clearing its PTE reference
+    /// bit. A referenced page steps the ladder (a promote page just stays
+    /// queued); an unreferenced page on a referenced rung decays one
+    /// step, and an unreferenced promote page ages back to active.
+    fn scan_list(
+        &mut self,
+        mem: &mut MemorySystem,
+        tier: TierId,
+        shard: usize,
+        kind: PageKind,
+        which: WhichList,
+    ) -> u64 {
+        let budget = self.tiers[tier.index()]
+            .shard(shard)
+            .set(kind)
+            .list(which)
+            .len()
+            .min(self.cfg.scan_batch);
+        let mut scanned = 0;
+        for _ in 0..budget {
+            let list = self.tiers[tier.index()]
+                .shard_mut(shard)
+                .set_mut(kind)
+                .list_mut(which);
+            let Some(frame) = list.pop_front() else {
+                break;
+            };
+            // Rotate first so the ladder's list moves see a member page.
+            list.push_back(frame);
+            scanned += 1;
+            if mem.harvest_referenced(frame) {
+                if which == WhichList::Promote {
+                    // Still hot while queued: the page stays, and only
+                    // its region heats (apply_access heats the others).
+                    self.region_map.record_heat(frame, 1);
+                } else {
+                    self.apply_access(mem, frame);
+                }
+                continue;
+            }
+            let (rung, decayed, edge) = match which {
+                // CLOCK decay (fig4: 1, downward): a page not referenced
+                // since the last scan loses its referenced state, so only
+                // pages referenced in *several recent* scans ever reach
+                // the promote list.
+                WhichList::Inactive => (PageState::InactiveRef, PageState::InactiveUnref, 1),
+                // CLOCK decay on the active rung as well (fig4: 8).
+                WhichList::Active => (PageState::ActiveRef, PageState::ActiveUnref, 8),
+                // fig4: 11 — unaccessed promote pages age back to active.
+                WhichList::Promote => (PageState::Promote, PageState::ActiveUnref, 11),
+                // Pinned pages live on the per-tier list, never scanned.
+                WhichList::Unevictable => continue,
+            };
+            if self.states[frame.index()] != Some(rung) {
+                continue;
+            }
+            if which == WhichList::Promote {
+                saturating_bump(&mut self.stats.promote_ages);
+            } else {
+                saturating_bump(&mut self.stats.ladder_decays);
+            }
+            self.transition(mem, frame, decayed);
+            mem.recorder_mut().emit(|| EventKind::Fig4 {
+                edge,
+                frame: frame.index() as u64,
+                tier: tier.index() as u8,
+            });
+        }
+        if scanned > 0 {
+            mem.recorder_mut().emit(|| EventKind::ScanList {
+                tier: tier.index() as u8,
+                list: which.name(),
+                scanned: scanned as u32,
+            });
+        }
+        scanned
     }
 
     /// Migrates every page on `tier`'s promote lists (all shards) to the
@@ -971,6 +1023,47 @@ mod tests {
         let out = mc.tick(&mut mem, Nanos::from_secs(1));
         // Only the PM anon inactive list is populated: 16 pages scanned.
         assert_eq!(out.pages_scanned, 16);
+    }
+
+    #[test]
+    fn scan_clears_exactly_the_bits_it_visits() {
+        let mem = MemorySystem::new(MemConfig::two_tier(64, 256));
+        let cfg = MultiClockConfig {
+            scan_batch: 4,
+            ..Default::default()
+        };
+        let mut mc = MultiClock::new(cfg, mem.topology());
+        let mut mem = mem;
+        let pm = TierId::new(1);
+        let frames: Vec<_> = (0..8u64)
+            .map(|v| map_in_tier(&mut mem, &mut mc, v, pm))
+            .collect();
+        for v in 0..8u64 {
+            mem.access(VPage::new(v), AccessKind::Read).unwrap();
+        }
+        let referenced =
+            |mem: &MemorySystem, v: u64| mem.page_table().get(VPage::new(v)).unwrap().referenced;
+        // The budget covers the four oldest pages: their bits are
+        // consumed, the four beyond it keep theirs.
+        let out = mc.tick(&mut mem, Nanos::from_secs(1));
+        assert_eq!(out.pages_scanned, 4);
+        for (v, &f) in frames.iter().enumerate() {
+            let scanned = v < 4;
+            assert_eq!(referenced(&mem, v as u64), !scanned, "page {v}");
+            let want = if scanned {
+                PageState::InactiveRef
+            } else {
+                PageState::InactiveUnref
+            };
+            assert_eq!(mc.state_of(f), Some(want), "page {v}");
+        }
+        // The next tick reaches the rest of the list, where the bits set
+        // before the first tick are still waiting.
+        mc.tick(&mut mem, Nanos::from_secs(2));
+        for (v, &f) in frames.iter().enumerate().skip(4) {
+            assert!(!referenced(&mem, v as u64), "page {v}");
+            assert_eq!(mc.state_of(f), Some(PageState::InactiveRef), "page {v}");
+        }
     }
 
     #[test]

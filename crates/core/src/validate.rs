@@ -27,16 +27,9 @@
 //! 9. the region map ([`crate::region`]) partitions the frame space
 //!    (sorted, gap-free, exact aggregates), mirrors the tracked set
 //!    (its tracked total equals the state table's), and every tracked
-//!    frame lies inside a populated region — the property that makes
-//!    the sparse reference snapshot lossless.
+//!    frame lies inside a populated region.
 //!
-//! Validation runs only on the coordinating thread at quiescent points
-//! (tick end, post-promote) — never inside the parallel scan phase, where
-//! shard workers hold disjoint `&mut` list borrows and the state table is
-//! intentionally stale until the merge (see [`crate::executor`]).
-//! Invariant 6 is what makes the executor's deferred retry-clearing rule
-//! ("a merged non-`Promote` state write ends the episode") equivalent to
-//! the sequential in-place clearing.
+//! Validation runs only at quiescent points (tick end, post-promote).
 
 use crate::lists::WhichList;
 use crate::multi_clock::MultiClock;
@@ -80,8 +73,7 @@ impl MultiClock {
             let frame = FrameId::new(raw);
             if self.state_of(frame).is_some() {
                 tracked_total += 1;
-                // 9. every tracked frame lies inside a populated region,
-                //    so the sparse reference snapshot samples it.
+                // 9. every tracked frame lies inside a populated region.
                 if !self.region_map.covers_tracked(frame) {
                     violations.push(InvariantViolation {
                         frame,

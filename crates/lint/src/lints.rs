@@ -1,4 +1,4 @@
-//! The ten lint classes (plus the suppression audit in
+//! The nine lint classes (plus the suppression audit in
 //! [`crate::suppress`]). Each submodule exposes
 //! `check(&Workspace) -> Vec<Diagnostic>` and is independently runnable so
 //! the test harness can report them as separate cases; the semantic passes
@@ -12,7 +12,6 @@ pub mod docs;
 pub mod layering;
 pub mod panic_reach;
 pub mod panics;
-pub mod parallel;
 pub mod results;
 pub mod state_machine;
 pub mod wallclock;

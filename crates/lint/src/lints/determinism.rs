@@ -1,4 +1,4 @@
-//! Lint 7: determinism in engine-reachable code.
+//! Lint 6: determinism in engine-reachable code.
 //!
 //! The house invariant — every configuration is bit-identical to the
 //! baseline engine — dies the moment engine code observes an
@@ -11,7 +11,15 @@
 //!   `// lint: allow(determinism) - <how order is restored>`;
 //! * **ambient entropy** (`thread_rng`, `from_entropy`, `rand::random`,
 //!   `RandomState`): all randomness flows from mc-fault's seeded
-//!   SplitMix64 (or the workloads' own seeded generators).
+//!   SplitMix64 (or the workloads' own seeded generators);
+//! * in `crates/core` only, **host threads** (`std::thread`) and
+//!   **shared-mutable constructs** (`Mutex`, `RwLock`, `Atomic*`,
+//!   `RefCell`, `Cell<`, `static mut`, `unsafe`): the policy owns its
+//!   state and mutates it in place through `&mut self`, walking its
+//!   lists in one fixed order, so nothing may run beside the walk or hide
+//!   state behind interior mutability. Host parallelism belongs to
+//!   whole-run sweeps (`SweepRunner` in `crates/bench`). These two rules
+//!   take no suppression marker.
 //!
 //! Wall-clock sources (`Instant`, `SystemTime`) used to be banned here
 //! too; they now have their own workspace-wide boundary pass
@@ -27,7 +35,7 @@
 //! [`Nanos`]: ../../mc_mem/struct.Nanos.html
 
 use crate::index::word_occurrences;
-use crate::source::is_ident_byte;
+use crate::source::{is_ident_byte, SourceFile};
 use crate::suppress::Suppressions;
 use crate::{Diagnostic, Workspace};
 use std::collections::BTreeSet;
@@ -69,6 +77,21 @@ const BANNED_TOKENS: [(&str, &str); 4] = [
         "RandomState",
         "per-process hash seeds; use BTree collections",
     ),
+];
+
+/// Constructs banned in `crates/core` library code: host threads, then
+/// shared-mutable (or aliasing-escape) state. `thread` must be a whole
+/// word (`threads` is a count, `thread_rng` is entropy); the rest match
+/// as prefixes, so `Atomic` also catches `AtomicUsize`.
+const CORE_BANNED: [&str; 8] = [
+    "thread",
+    "Mutex",
+    "RwLock",
+    "Atomic",
+    "RefCell",
+    "Cell<",
+    "static mut",
+    "unsafe",
 ];
 
 /// Runs the determinism lint standalone (used by tests).
@@ -133,8 +156,39 @@ pub fn check_with(ws: &Workspace, sup: &mut Suppressions) -> Vec<Diagnostic> {
                 });
             }
         }
+        if file.rel.starts_with("crates/core/src/") {
+            check_core_ownership(file, &mut diags);
+        }
     }
     diags
+}
+
+/// Flags the [`CORE_BANNED`] constructs in `crates/core` library code.
+fn check_core_ownership(file: &SourceFile, diags: &mut Vec<Diagnostic>) {
+    let bytes = file.blanked.as_bytes();
+    for needle in CORE_BANNED {
+        for (off, _) in file.blanked.match_indices(needle) {
+            let end = off + needle.len();
+            let starts_word = off == 0 || !is_ident_byte(bytes[off - 1]);
+            let ends_word = bytes.get(end).is_none_or(|b| !is_ident_byte(*b));
+            if !starts_word || (needle == "thread" && !ends_word) || file.in_test(off) {
+                continue;
+            }
+            let why = if needle == "thread" {
+                "the daemon scans its lists in place on the engine's one thread; \
+                 host parallelism belongs to whole-run sweeps"
+            } else {
+                "shared-mutable state; the policy owns its state and mutates it \
+                 in place through `&mut self`"
+            };
+            diags.push(Diagnostic {
+                file: file.rel.clone(),
+                line: file.line_of(off),
+                lint: LINT,
+                message: format!("`{needle}` in crates/core: {why}"),
+            });
+        }
+    }
 }
 
 /// Identifiers bound to `HashMap`/`HashSet` in this file: struct fields

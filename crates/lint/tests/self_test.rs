@@ -327,6 +327,52 @@ fn determinism_flags_hash_iteration_and_ambient_entropy() {
     );
 }
 
+/// Runs the determinism pass over one file and returns the lines whose
+/// diagnostic names `needle`.
+fn determinism_hits(rel: &str, src: &str, needle: &str) -> Vec<usize> {
+    let diags = lints::determinism::check(&ws_with(&[(rel, src)]));
+    let tag = format!("`{needle}` in crates/core");
+    diags
+        .iter()
+        .filter(|d| d.message.contains(&tag))
+        .map(|d| d.line)
+        .collect()
+}
+
+#[test]
+fn determinism_bans_host_threads_in_the_policy_crate() {
+    let src = "pub fn scan(threads: usize) {\n    std::thread::scope(|_| threads);\n}\n#[cfg(test)]\nmod tests {\n    fn t() {\n        std::thread::spawn(|| ());\n    }\n}\n";
+    // `threads` is a different word and tests are exempt: only line 2.
+    assert_eq!(
+        determinism_hits("crates/core/src/scan.rs", src, "thread"),
+        [2]
+    );
+    // Other engine crates are out of the rule's scope.
+    assert!(determinism_hits("crates/sim/src/engine.rs", src, "thread").is_empty());
+}
+
+#[test]
+fn determinism_bans_shared_mutable_state_in_the_policy_crate() {
+    let src = "use std::cell::RefCell;\nuse std::sync::atomic::AtomicUsize;\nuse std::sync::Mutex;\nstatic mut HITS: u32 = 0;\npub fn f(c: &std::cell::Cell<u32>) {\n    unsafe {\n        HITS += c.get();\n    }\n}\npub struct L(std::sync::RwLock<u32>);\n";
+    let banned = [
+        "RefCell",
+        "Atomic",
+        "Mutex",
+        "static mut",
+        "Cell<",
+        "unsafe",
+        "RwLock",
+    ];
+    for (needle, line) in banned.into_iter().zip([1, 2, 3, 4, 5, 6, 10]) {
+        assert_eq!(
+            determinism_hits("crates/core/src/bad.rs", src, needle),
+            [line],
+            "{needle}"
+        );
+        assert!(determinism_hits("crates/sim/src/engine.rs", src, needle).is_empty());
+    }
+}
+
 #[test]
 fn wallclock_flags_host_clocks_outside_the_boundary() {
     let bad = "use std::time::Instant;\npub fn f() -> u64 {\n    let t = Instant::now();\n    t.elapsed().as_nanos() as u64\n}\n";

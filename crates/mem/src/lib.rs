@@ -46,7 +46,6 @@ pub mod latency;
 pub mod machine;
 pub mod policy;
 pub mod pte;
-pub mod snapshot;
 pub mod stats;
 pub mod system;
 pub mod tier;
@@ -59,12 +58,11 @@ pub use access::{Memory, SimpleMemory};
 pub use error::MemError;
 pub use flags::PageFlags;
 pub use frame::{Frame, FrameState, PageKind};
-pub use ids::{FrameId, NodeId, TierId, VAddr, VPage, PAGE_SHIFT, PAGE_SIZE};
+pub use ids::{FrameId, FrameRange, NodeId, TierId, VAddr, VPage, PAGE_SHIFT, PAGE_SIZE};
 pub use latency::{AccessKind, LatencyModel, LinkDesc, MigrationCost, TierLatency};
 pub use machine::{MachineBuilder, MachineDesc, MachineNode};
 pub use policy::{NullPolicy, PolicyTraits, TickOutcome, TieringPolicy};
 pub use pte::{PageTable, PteEntry};
-pub use snapshot::{FrameRange, RefSnapshot};
 pub use stats::{CostLedger, MemEvent, MemStats};
 pub use system::{AccessOutcome, MemConfig, MemorySystem};
 pub use tier::{Tier, TierKind};

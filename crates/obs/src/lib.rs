@@ -25,7 +25,6 @@
 //! therefore raw integers (frame indices, tier ids, Fig. 4 edge numbers),
 //! not typed ids from higher crates.
 
-pub mod buffer;
 pub mod config;
 pub mod counter;
 pub mod event;
@@ -36,7 +35,6 @@ pub mod report;
 pub mod ring;
 pub mod series;
 
-pub use buffer::EventBuffer;
 pub use config::ObsConfig;
 pub use counter::{saturating_add, saturating_bump};
 pub use event::{Event, EventKind, FIG4_EDGES};

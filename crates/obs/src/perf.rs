@@ -22,7 +22,7 @@
 //! Hooks only *observe* host time; nothing read from the clock ever flows
 //! back into engine state. A hooks-on run is therefore bit-identical to a
 //! hooks-off run — `crates/sim/tests/perf_differential.rs` enforces this
-//! differentially, including under fault injection and parallel scanning.
+//! differentially, including under fault injection.
 //!
 //! # Data model
 //!
@@ -41,14 +41,17 @@ pub const BUCKETS: usize = 64;
 /// The instrumented engine phases, in pipeline order.
 ///
 /// One span per occurrence: a `Tick` wraps one policy tick (which may
-/// contain a scan), a `Scan` wraps one sharded scan fan-out, and so on.
+/// contain a scan), a `Scan` wraps one in-place walk of every list, and
+/// so on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Phase {
     /// One `policy.tick(...)` call from the simulation frontend.
     Tick,
-    /// One sharded scan fan-out (`run_scan_jobs`); items = pages scanned.
+    /// One in-place scan of every shard's lists; items = pages scanned.
     Scan,
-    /// Merging ordered `ShardScanOut`s back into the tier lists.
+    /// Retired: the scan phase used to merge per-shard outputs after a
+    /// parallel fan-out. It is no longer recorded (its summary reads
+    /// zero); the variant stays so artifact schemas keep the name.
     Merge,
     /// Draining promotion candidates upward; items = pages promoted.
     PromoteDrain,

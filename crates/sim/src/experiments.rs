@@ -354,7 +354,6 @@ pub struct Experiment {
     retry: mc_fault::RetryPolicy,
     scan_shards: usize,
     migrate_batch_size: usize,
-    threads: usize,
     perf: Option<mc_obs::PerfHooks>,
     migration_mode: MigrationMode,
 }
@@ -372,7 +371,6 @@ impl Experiment {
             retry: mc_fault::RetryPolicy::immediate(),
             scan_shards: 1,
             migrate_batch_size: 1,
-            threads: 1,
             perf: None,
             migration_mode: MigrationMode::Sync,
         }
@@ -447,23 +445,6 @@ impl Experiment {
         self
     }
 
-    /// Sets the number of worker threads for MULTI-CLOCK's scan phase
-    /// (default 1: fully sequential).
-    ///
-    /// # Determinism contract
-    ///
-    /// Thread count is a *performance* knob, never a *behavior* knob:
-    /// every run is bit-identical for any `threads >= 1` — same stats,
-    /// same tick CSV, same event JSONL, same final page placement. The
-    /// scan executor guarantees this by giving each worker a read-only
-    /// snapshot of the memory system and merging per-shard results on the
-    /// coordinating thread in fixed shard-index order
-    /// (`crates/sim/tests/parallel_differential.rs` enforces it).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
     /// Selects how MULTI-CLOCK executes promotions:
     /// [`MigrationMode::Sync`] (the default, bit-identical to the
     /// historical engine) or [`MigrationMode::Transactional`]
@@ -517,7 +498,6 @@ impl Experiment {
         cfg.retry = self.retry;
         cfg.engine.scan_shards = self.scan_shards;
         cfg.engine.migrate_batch_size = self.migrate_batch_size;
-        cfg.engine.threads = self.threads;
         cfg.instrument.perf = self.perf.clone();
         cfg.engine.migration_mode = self.migration_mode;
         if self.obs_dir.is_some() {
