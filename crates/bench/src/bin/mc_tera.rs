@@ -2,12 +2,13 @@
 //!
 //! Runs the same fixed YCSB-A working set on MULTI-CLOCK machines of
 //! growing total frame count and reports the daemon's per-tick wall
-//! cost at each size. The discrete-event engine plus region-granular
-//! scanning make that cost track the *populated extent*, not the
-//! machine: quadrupling the frame count must leave the per-tick cost
-//! roughly flat (the sublinearity verdict printed at the end), because
-//! only the machine *construction* is O(frames) — the per-tick path
-//! snapshots reference bits over populated region ranges only.
+//! cost at each size. The discrete-event engine plus the in-place list
+//! walk make that cost track the *working set*, not the machine:
+//! quadrupling the frame count must leave the per-tick cost roughly
+//! flat (the sublinearity verdict printed at the end), because only the
+//! machine *construction* is O(frames) — each tick visits at most
+//! `scan_batch` pages of each CLOCK list, and only tracked pages are on
+//! a list.
 //!
 //! Usage:
 //!

@@ -31,8 +31,8 @@
 //! * tera scan cost — the daemon's mean tick cost (ns) at a fixed
 //!   working set on a quarter-size vs full terabyte-class machine, plus
 //!   their ratio: 4x the frames must leave the per-tick cost roughly
-//!   flat, because region-granular scanning makes it follow the
-//!   populated extent rather than the frame count (`--smoke` shrinks
+//!   flat, because the scan walks the CLOCK lists, so it follows the
+//!   working set rather than the frame count (`--smoke` shrinks
 //!   both machines so CI hosts survive the O(frames) construction);
 //! * sketch tracking cost vs full scan — virtual cost of the pages each
 //!   *tracker* harvests (HybridTier's bounded CM-sketch sampling vs

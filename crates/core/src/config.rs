@@ -26,10 +26,9 @@ pub struct MultiClockConfig {
     /// the lower tier's expensive stores.
     pub write_weight: f64,
     /// §VII extension: adapt the scan interval to workload behaviour
-    /// (halve it while promotions are plentiful, back off when idle).
+    /// (double it after idle ticks, snap back to `scan_interval` as soon
+    /// as a tick moves a page between tiers).
     pub adaptive_interval: bool,
-    /// Lower bound for the adaptive interval.
-    pub min_interval: Nanos,
     /// Upper bound for the adaptive interval.
     pub max_interval: Nanos,
     /// Scanner shards per NUMA node (HM-Keeper-style scan sharding). Each
@@ -75,65 +74,6 @@ pub struct MultiClockConfig {
     /// value flows back into the engine — so any setting produces results
     /// bit-identical to `None`.
     pub perf: Option<PerfHooks>,
-    /// HM-Keeper-style adaptive region profiling ([`crate::region`]).
-    /// Region boundaries only steer how often the scanner wakes — any
-    /// knob values are bit-identical to any others; see the module docs
-    /// for the contract.
-    pub regions: RegionKnobs,
-}
-
-/// Knobs for the adaptive region map ([`crate::region::RegionMap`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RegionKnobs {
-    /// Frames per granule — the minimum region size and split alignment.
-    /// `1` gives page-granular regions (the tick-equivalent extreme);
-    /// the default of 512 frames (2 MiB of 4 KiB pages) keeps the
-    /// per-granule arrays negligible even on terabyte topologies.
-    pub granule: usize,
-    /// Maximum region size in granules — the initial layout carves the
-    /// frame space into regions of this size, and merges never exceed
-    /// it. With the defaults (512 × 2048 = 1 Mi frames) a 1 TiB machine
-    /// starts at 256 regions.
-    pub max_granules: usize,
-    /// Window heat at which a region splits in half (per rebalance).
-    pub split_heat: u64,
-    /// Window heat below which two neighbours may merge.
-    pub merge_heat: u64,
-    /// §VII-style extension: let the scanner reschedule itself from
-    /// observed region churn (tracked-set mutations) in addition to
-    /// promotion/demotion activity. Off by default — the scan interval
-    /// then behaves exactly as before the region map existed.
-    pub churn_interval: bool,
-}
-
-impl Default for RegionKnobs {
-    fn default() -> Self {
-        RegionKnobs {
-            granule: 512,
-            max_granules: 2048,
-            split_heat: 1024,
-            merge_heat: 64,
-            churn_interval: false,
-        }
-    }
-}
-
-impl RegionKnobs {
-    /// Validates invariants; called by [`crate::region::RegionMap::new`]
-    /// (and transitively by [`MultiClockConfig::validate`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any bound is nonsensical (zero granule or cap, merge
-    /// threshold at or above the split threshold).
-    pub fn validate(&self) {
-        assert!(self.granule > 0, "region granule must be positive");
-        assert!(self.max_granules > 0, "region size cap must be positive");
-        assert!(
-            self.merge_heat < self.split_heat,
-            "region merge threshold must sit below the split threshold"
-        );
-    }
 }
 
 impl Default for MultiClockConfig {
@@ -144,7 +84,6 @@ impl Default for MultiClockConfig {
             reclaim_batch: 4096,
             write_weight: 1.0,
             adaptive_interval: false,
-            min_interval: Nanos::from_millis(100),
             max_interval: Nanos::from_secs(60),
             scan_shards: 1,
             migrate_batch_size: 1,
@@ -152,7 +91,6 @@ impl Default for MultiClockConfig {
             migration_mode: MigrationMode::Sync,
             shadow_pages: true,
             perf: None,
-            regions: RegionKnobs::default(),
         }
     }
 }
@@ -171,8 +109,8 @@ impl MultiClockConfig {
     ///
     /// # Panics
     ///
-    /// Panics if any bound is nonsensical (zero interval/batch, inverted
-    /// adaptive bounds, non-positive write weight).
+    /// Panics if any bound is nonsensical (zero interval/batch/shards,
+    /// a write weight below one, a retry policy with no attempt).
     pub fn validate(&self) {
         assert!(
             self.scan_interval > Nanos::ZERO,
@@ -181,10 +119,6 @@ impl MultiClockConfig {
         assert!(self.scan_batch > 0, "scan batch must be positive");
         assert!(self.reclaim_batch > 0, "reclaim batch must be positive");
         assert!(self.write_weight >= 1.0, "write weight must be >= 1");
-        assert!(
-            self.min_interval <= self.max_interval,
-            "adaptive interval bounds inverted"
-        );
         assert!(self.scan_shards > 0, "scan shards must be positive");
         assert!(
             self.migrate_batch_size > 0,
@@ -194,7 +128,6 @@ impl MultiClockConfig {
             self.retry.is_valid(),
             "retry policy must allow at least one attempt with cap >= base"
         );
-        self.regions.validate();
     }
 }
 

@@ -51,16 +51,14 @@ pub mod config;
 pub mod lists;
 pub mod multi_clock;
 pub mod reclaim;
-pub mod region;
 pub mod scan;
 pub mod state;
 pub mod stats;
 pub mod validate;
 
-pub use config::{MultiClockConfig, RegionKnobs};
+pub use config::MultiClockConfig;
 pub use lists::{ListSet, TierLists, TierShards, WhichList};
 pub use multi_clock::MultiClock;
-pub use region::{RegionMap, RegionStats};
 pub use state::PageState;
 pub use stats::MultiClockStats;
 pub use validate::InvariantViolation;

@@ -5,7 +5,6 @@
 
 use crate::config::MultiClockConfig;
 use crate::lists::{TierLists, TierShards};
-use crate::region::{RegionMap, RegionStats};
 use crate::state::PageState;
 use crate::stats::MultiClockStats;
 use mc_mem::{
@@ -60,11 +59,6 @@ pub struct MultiClock {
     /// across quiescent points, so the invariant checker exempts these
     /// frames explicitly instead of being suspended.
     pub(crate) txn_pending: Vec<FrameId>,
-    /// The adaptive region partition over the frame space: per-region
-    /// heat and the churn signal the churn-interval extension reschedules
-    /// on. Mirrors the tracked set exactly (every `states` Some/None flip
-    /// updates it).
-    pub(crate) region_map: RegionMap,
 }
 
 /// Retry bookkeeping for one page's current promotion episode.
@@ -105,7 +99,6 @@ impl MultiClock {
             }
             tiers.push(TierShards::new(node_ord.max(1) * spn));
         }
-        let region_map = RegionMap::new(topology.total_pages() as u64, cfg.regions.clone());
         MultiClock {
             cfg,
             tiers,
@@ -118,16 +111,7 @@ impl MultiClock {
             in_flight: 0,
             retry_state: vec![None; topology.total_pages()],
             txn_pending: Vec::new(),
-            region_map,
         }
-    }
-
-    /// Adaptation counters of the region map (region count, splits,
-    /// merges, populated extent). Deliberately not part of
-    /// [`TieringPolicy::counters`]: the per-tick obs CSV layout is
-    /// pinned by the scheduler differential tests.
-    pub fn region_stats(&self) -> RegionStats {
-        self.region_map.stats()
     }
 
     /// The configuration in use.
@@ -240,7 +224,6 @@ impl MultiClock {
             .inactive
             .push_back(frame);
         self.states[frame.index()] = Some(PageState::InactiveUnref);
-        self.region_map.track(frame);
         self.sync_flags(mem, frame, PageState::InactiveUnref);
         mem.recorder_mut().emit(|| EventKind::Fig4 {
             edge: 5,
@@ -257,7 +240,6 @@ impl MultiClock {
         // transaction eagerly; drop our settle bookkeeping to match.
         self.txn_pending.retain(|f| *f != frame);
         if self.states[frame.index()].take().is_some() {
-            self.region_map.untrack(frame);
             let tier = mem.frame(frame).tier();
             // fig4: 4 — tracking ends; the page leaves every list.
             self.tiers[tier.index()].remove(frame);
@@ -290,9 +272,6 @@ impl MultiClock {
         if st == PageState::Unevictable {
             return;
         }
-        // Every observed access heats the page's region: supervised ones
-        // here, harvested reference bits via the scan.
-        self.region_map.record_heat(frame, 1);
         let tier = mem.frame(frame).tier();
         let kind = mem.frame(frame).kind();
         // fig4: 2, 6, 7, 10, 12 — an observed access climbs one edge.
@@ -373,9 +352,6 @@ impl MultiClock {
         new_frame: FrameId,
         landing_state: PageState,
     ) {
-        if self.states[old_frame.index()].is_some() {
-            self.region_map.untrack(old_frame);
-        }
         self.states[old_frame.index()] = None;
         self.retry_state[old_frame.index()] = None;
         self.retry_state[new_frame.index()] = None;
@@ -390,9 +366,6 @@ impl MultiClock {
             .set_mut(kind)
             .list_mut(landing_state.list())
             .push_back(new_frame);
-        if self.states[new_frame.index()].is_none() {
-            self.region_map.track(new_frame);
-        }
         self.states[new_frame.index()] = Some(landing_state);
         self.sync_flags(mem, new_frame, landing_state);
     }

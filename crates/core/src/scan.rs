@@ -82,18 +82,7 @@ impl MultiClock {
         drop(pressure_span);
 
         saturating_add(&mut self.stats.pages_scanned, out.pages_scanned);
-        // Region adaptation: split the regions that ran hot this window,
-        // merge the ones that stayed cold, and (when the churn-interval
-        // extension is on) fold tracked-set churn into the reschedule
-        // signal so a map in flux keeps the scanner awake even when no
-        // page crossed a tier.
-        self.region_map.rebalance();
-        let churn = self.region_map.take_churn();
-        let mut activity = out.promoted + out.demoted;
-        if self.cfg.regions.churn_interval {
-            activity += churn;
-        }
-        self.adapt_interval(activity);
+        self.adapt_interval(out.promoted + out.demoted);
         // Mirror the substrate's transaction/shadow counters into the
         // policy's vmstat rows (absolute values; all zero in Sync mode).
         let ms = mem.stats();
@@ -175,11 +164,8 @@ impl MultiClock {
             list.push_back(frame);
             scanned += 1;
             if mem.harvest_referenced(frame) {
-                if which == WhichList::Promote {
-                    // Still hot while queued: the page stays, and only
-                    // its region heats (apply_access heats the others).
-                    self.region_map.record_heat(frame, 1);
-                } else {
+                // Still hot while queued: a promote page stays put.
+                if which != WhichList::Promote {
                     self.apply_access(mem, frame);
                 }
                 continue;
@@ -608,11 +594,8 @@ impl MultiClock {
     /// the workload is stable (no promotions), snap back to the
     /// configured interval the moment tiering work reappears. The goal is
     /// to save scan CPU in steady phases without giving up reaction time.
-    /// The churn-interval extension reuses the same machinery with
-    /// region churn folded into `activity`, so a daemon whose tracked
-    /// set is in flux reschedules itself eagerly.
     fn adapt_interval(&mut self, activity: u64) {
-        if !self.cfg.adaptive_interval && !self.cfg.regions.churn_interval {
+        if !self.cfg.adaptive_interval {
             return;
         }
         if activity == 0 {
@@ -1081,6 +1064,27 @@ mod tests {
         }
         assert!(mc.tick_interval().unwrap() > base, "interval backed off");
         assert!(mc.tick_interval().unwrap() <= mc.config().max_interval);
+
+        // Tracked-set churn alone moves no page between tiers, so the
+        // interval stays backed off.
+        let pm = TierId::new(1);
+        let gone = map_in_tier(&mut mem, &mut mc, 1, pm);
+        map_in_tier(&mut mem, &mut mc, 2, pm);
+        mc.tick(&mut mem, Nanos::from_secs(10));
+        mc.on_page_unmapped(&mut mem, gone);
+        mem.free_page(gone).unwrap();
+        mc.tick(&mut mem, Nanos::from_secs(11));
+        assert!(
+            mc.tick_interval().unwrap() > base,
+            "churn keeps it backed off"
+        );
+
+        // One tick that promotes a hot PM page snaps it back.
+        let hot = map_in_tier(&mut mem, &mut mc, 3, pm);
+        make_promotable(&mut mem, &mut mc, hot);
+        let out = mc.tick(&mut mem, Nanos::from_secs(12));
+        assert_eq!(out.promoted, 1);
+        assert_eq!(mc.tick_interval(), Some(base), "promotion resets it");
     }
 
     #[test]

@@ -23,11 +23,7 @@
 //!    are allocated but unmapped reservations, shadow copies exist only
 //!    for clean mapped pages with the retained frame one or more tiers
 //!    below, and stored retry bookkeeping never exceeds the
-//!    [`mc_fault::RetryPolicy`] budget;
-//! 9. the region map ([`crate::region`]) partitions the frame space
-//!    (sorted, gap-free, exact aggregates), mirrors the tracked set
-//!    (its tracked total equals the state table's), and every tracked
-//!    frame lies inside a populated region.
+//!    [`mc_fault::RetryPolicy`] budget.
 //!
 //! Validation runs only at quiescent points (tick end, post-promote).
 
@@ -59,7 +55,6 @@ impl MultiClock {
     pub fn check_invariants(&self, mem: &MemorySystem) -> Vec<InvariantViolation> {
         let mut violations = Vec::new();
         let mut seen: HashSet<u32> = HashSet::new();
-        let mut tracked_total = 0u64;
         let tier_count = mem.topology().tier_count();
 
         for t in 0..tier_count {
@@ -71,16 +66,6 @@ impl MultiClock {
 
         for raw in 0..mem.total_frames() as u32 {
             let frame = FrameId::new(raw);
-            if self.state_of(frame).is_some() {
-                tracked_total += 1;
-                // 9. every tracked frame lies inside a populated region.
-                if !self.region_map.covers_tracked(frame) {
-                    violations.push(InvariantViolation {
-                        frame,
-                        message: "tracked but outside every populated region".into(),
-                    });
-                }
-            }
             if self.state_of(frame).is_some()
                 && !seen.contains(&raw)
                 && !self.txn_pending.contains(&frame)
@@ -115,25 +100,6 @@ impl MultiClock {
                     });
                 }
             }
-        }
-        // 9 (continued). The region partition is structurally sound
-        //    (sorted, gap-free, aggregates exact) and its tracked total
-        //    mirrors the state table.
-        if let Err(message) = self.region_map.check() {
-            violations.push(InvariantViolation {
-                frame: FrameId::new(0),
-                message: format!("region map inconsistent: {message}"),
-            });
-        }
-        let region_tracked = self.region_map.stats().tracked;
-        if region_tracked != tracked_total {
-            violations.push(InvariantViolation {
-                frame: FrameId::new(0),
-                message: format!(
-                    "region map tracks {region_tracked} pages but the state \
-                     table tracks {tracked_total}"
-                ),
-            });
         }
         self.check_txn_bookkeeping(mem, &mut violations);
         violations

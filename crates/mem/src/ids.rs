@@ -43,27 +43,6 @@ impl fmt::Display for FrameId {
     }
 }
 
-/// A contiguous run of frames: `start` index and `len` count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FrameRange {
-    /// First frame index of the run.
-    pub start: u64,
-    /// Number of frames in the run.
-    pub len: u64,
-}
-
-impl FrameRange {
-    /// A run covering `[start, start + len)`.
-    pub fn new(start: u64, len: u64) -> Self {
-        Self { start, len }
-    }
-
-    /// Whether `index` falls inside this run.
-    pub fn contains(&self, index: u64) -> bool {
-        index >= self.start && index - self.start < self.len
-    }
-}
-
 /// A virtual page number (a byte address shifted right by [`PAGE_SHIFT`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct VPage(u64);
@@ -208,15 +187,6 @@ impl fmt::Display for NodeId {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn frame_range_contains() {
-        let r = FrameRange::new(8, 4);
-        assert!(!r.contains(7));
-        assert!(r.contains(8));
-        assert!(r.contains(11));
-        assert!(!r.contains(12));
-    }
 
     #[test]
     fn vaddr_page_decomposition() {

@@ -58,7 +58,7 @@ pub use access::{Memory, SimpleMemory};
 pub use error::MemError;
 pub use flags::PageFlags;
 pub use frame::{Frame, FrameState, PageKind};
-pub use ids::{FrameId, FrameRange, NodeId, TierId, VAddr, VPage, PAGE_SHIFT, PAGE_SIZE};
+pub use ids::{FrameId, NodeId, TierId, VAddr, VPage, PAGE_SHIFT, PAGE_SIZE};
 pub use latency::{AccessKind, LatencyModel, LinkDesc, MigrationCost, TierLatency};
 pub use machine::{MachineBuilder, MachineDesc, MachineNode};
 pub use policy::{NullPolicy, PolicyTraits, TickOutcome, TieringPolicy};

@@ -83,9 +83,8 @@ impl Simulation {
                         } else {
                             cfg.engine.migration_mode
                         },
-                        // Adaptive bounds scale with the configured
-                        // interval (the defaults are paper-scale).
-                        min_interval: Nanos::from_nanos(cfg.scan_interval.as_nanos() / 10),
+                        // The adaptive bound scales with the configured
+                        // interval (the default is paper-scale).
                         max_interval: cfg.scan_interval.saturating_mul(60),
                         ..Default::default()
                     },

@@ -1,8 +1,8 @@
 //! Differential harness for the discrete-event scheduler refactor.
 //!
 //! The tick-equivalence contract (DESIGN.md §17): with every component
-//! registered at one shared period and region granularity pinned to a
-//! single page, the event-driven engine must be *bit-identical* to the
+//! registered at one shared period, the refactored event-driven engine
+//! must be *bit-identical* to the
 //! PR 8 fixed-period engine — same virtual time, same `MemStats`, same
 //! per-tick CSV, same tracepoint JSONL, same final page placement, same
 //! cost ledger. The golden fingerprints below were captured by running
